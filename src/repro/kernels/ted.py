@@ -19,7 +19,12 @@ kernel evaluates a whole row at once:
 - the row minimum (boundary included) drives the identical per-keyroot-
   pair early exit, and rename-case cells record into ``treedist`` via
   one masked scatter.  Rename cells (``l2(node2) == lj``) and jump cells
-  are disjoint in ``node2``, so jump gathers never see a same-row write.
+  are disjoint in ``node2``, so jump gathers never see a same-row write;
+- keyroot pairs come from the reference's
+  :func:`~repro.ted.cutoff.keyroot_windows` (leftmost leaves within
+  ``tau``, each window in ascending postorder), so both paths skip the
+  same provably useless pairs.  The tables here stay full
+  ``(n1+1) x (n2+1)`` arrays.
 
 Row vectorization would only pay once the band is wide — and measured
 (``benchmarks/bench_kernels.py``, recorded in ``BENCH_PR9.json``), the
@@ -36,7 +41,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.kernels import get_numpy
-from repro.ted.cutoff import zhang_shasha_bounded
+from repro.ted.cutoff import keyroot_windows, zhang_shasha_bounded
 from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.node import Tree
 
@@ -125,10 +130,10 @@ class BandedTed:
         fd = np.full((n1 + 1, n2 + 1), big, dtype=np.int64)
         ys_all = np.arange(n2 + 1, dtype=np.int64)
 
-        for i in a1.keyroots:
+        for i, window in keyroot_windows(a1, a2, tau):
             li = l1[i]
             m = i - li + 2
-            for j in a2.keyroots:
+            for j in window:
                 lj = l2[j]
                 n = j - lj + 2
                 # Row 0: insertions only, banded, with the band-edge guard.

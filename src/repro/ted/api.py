@@ -71,9 +71,11 @@ def ted_within(
     pair before the exact computation; the result is identical either way
     because the bounds are proven lower bounds.  For the Zhang–Shasha-based
     algorithms (``"rted"``, ``"zhang_shasha"``) the exact computation is the
-    tau-banded DP of :mod:`repro.ted.cutoff`, which fills only the cells a
-    ``<= tau`` distance can reach and stops as soon as the threshold is
-    provably exceeded.
+    tau-banded DP of :mod:`repro.ted.cutoff`: it runs only the keyroot
+    pairs whose leftmost leaves lie within ``tau`` of each other, fills
+    only the cells a ``<= tau`` distance can reach, keeps both tables in
+    band-sized rows (``O(n * tau)`` memory rather than ``O(n1 * n2)``),
+    and stops as soon as the threshold is provably exceeded.
 
     >>> a, b = Tree.from_bracket("{a{b}}"), Tree.from_bracket("{a{b}{c}{d}}")
     >>> ted_within(a, b, 1) is None
