@@ -21,6 +21,9 @@ expected "speedup" is < 1 — worker processes time-slice one core and the
 measurement only bounds the executor's overhead.  The CI guard therefore
 asserts *multi-worker no slower than serial* only when at least two CPUs
 are usable, and on single-CPU hosts just bounds the overhead factor.
+A sibling guard holds the prepared-session path (``TreeCollection``,
+``prepare`` then ``join(..., workers=2)``) to the same rule: its workers
+must reuse the session's prepared state, not rebuild it.
 
 Run with ``pytest benchmarks/bench_parallel_join.py``.
 """
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.join import PartSJConfig, partsj_join
+from repro.session import TreeCollection
 
 SNAPSHOT_PATH = Path(__file__).parent.parent / "BENCH_PR3.json"
 SNAPSHOT_TAUS = (1, 2, 3)
@@ -61,6 +65,29 @@ def best_run(trees, tau, workers, repeats=REPEATS):
     for _ in range(repeats):
         started = time.perf_counter()
         result = partsj_join(trees, tau, config)
+        wall = time.perf_counter() - started
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+            best_result = result
+    return best_wall, best_result
+
+
+def best_session_run(trees, tau, workers, repeats=REPEATS):
+    """Best-of-``repeats`` wall time of a prepared session's join.
+
+    Each repeat builds a fresh session and runs ``prepare(tau)`` untimed,
+    then times the first ``join(tau, workers=workers).run()`` (a second
+    run would be served from the session's result cache).
+    """
+    import time
+
+    best_wall = None
+    best_result = None
+    for _ in range(repeats):
+        col = TreeCollection.from_trees(trees)
+        col.prepare(tau)
+        started = time.perf_counter()
+        result = col.join(tau, workers=workers).run()
         wall = time.perf_counter() - started
         if best_wall is None or wall < best_wall:
             best_wall = wall
@@ -167,6 +194,32 @@ def test_smoke_guard_multiworker_not_slower(parallel_workload):
     else:
         assert parallel_wall <= serial_wall * SINGLE_CPU_TOLERANCE, (
             f"single-CPU executor overhead out of bounds: "
+            f"{parallel_wall:.3f}s vs serial {serial_wall:.3f}s"
+        )
+
+
+def test_smoke_guard_session_multiworker_not_slower(parallel_workload):
+    """CI perf smoke: a prepared session's 2-worker join vs its serial join.
+
+    The one-shot guard above is cold on both sides; this one times the
+    session path, where the serial join runs off the prepared state and
+    the workers must too.  Same hardware rule and tolerances.
+    """
+    tau = 2
+    serial_wall, serial = best_session_run(parallel_workload, tau, 1)
+    parallel_wall, parallel = best_session_run(parallel_workload, tau, 2)
+    assert [(p.i, p.j, p.distance) for p in parallel.pairs] == [
+        (p.i, p.j, p.distance) for p in serial.pairs
+    ], "session workers=2 join disagrees with the serial session join"
+    cpus = usable_cpus()
+    if cpus >= 2:
+        assert parallel_wall <= serial_wall * MULTICORE_TOLERANCE, (
+            f"2-worker session join slower than serial on {cpus} CPUs: "
+            f"{parallel_wall:.3f}s vs {serial_wall:.3f}s"
+        )
+    else:
+        assert parallel_wall <= serial_wall * SINGLE_CPU_TOLERANCE, (
+            f"single-CPU session executor overhead out of bounds: "
             f"{parallel_wall:.3f}s vs serial {serial_wall:.3f}s"
         )
 

@@ -57,10 +57,11 @@ probing tree only ever looks **backwards** at index sizes
   deterministic ``"maxmin"`` partitioning, the merged candidate set —
   and every owned-tree counter — is identical to the serial run's.
 
-One caveat: ``partition_strategy="random"`` draws each shard's random
-cuts from a fresh per-driver stream (serial consumption order cannot be
-replayed across shards), so under ``workers > 1`` the *candidate set*
-may differ slightly from the serial run's.  The **result pairs and
+One caveat: unless a prepared session supplies the partitions,
+``partition_strategy="random"`` draws each shard's random cuts from a
+fresh per-driver stream (serial consumption order cannot be replayed
+across shards), so under ``workers > 1`` the *candidate set* may differ
+slightly from the serial run's.  The **result pairs and
 distances are still bit-identical** — every sound configuration's filter
 is complete for any partition — but random-partition ablation figures
 should be swept at a fixed worker count.
@@ -79,6 +80,7 @@ from repro.baselines.common import (
     JoinStats,
     SizeSortedCollection,
     Verifier,
+    VerifierCaches,
     check_join_inputs,
 )
 from repro.core.index import InvertedSizeIndex, PostorderFilter
@@ -522,7 +524,7 @@ def partsj_join(
     config: Optional[PartSJConfig] = None,
     *,
     prepared: Optional[PreparedJoinState] = None,
-    verifier: Optional[Verifier] = None,
+    verifier_caches: Optional[VerifierCaches] = None,
     tracer=None,
 ) -> JoinResult:
     """The PartSJ similarity self-join (``PRT`` in the paper's figures).
@@ -542,9 +544,9 @@ def partsj_join(
         size-sorted order, shared interner/caches and per-tau partitions
         are consumed instead of rebuilt.  Results are bit-identical with
         or without it; only the preparation cost disappears.
-    verifier:
-        A pre-built verification engine (sessions pass one whose per-tree
-        annotation and feature caches are shared across queries).
+    verifier_caches:
+        Per-tree verification caches to read and populate (sessions
+        share one :class:`VerifierCaches` across queries and workers).
     tracer:
         A :class:`repro.obs.Tracer` to record phase spans on (``None``
         disables tracing at zero cost).  Tracing is coarse-grained —
@@ -566,7 +568,8 @@ def partsj_join(
         from repro.parallel.executor import parallel_partsj_join
 
         return parallel_partsj_join(
-            trees, tau, cfg, prepared=prepared, tracer=tracer
+            trees, tau, cfg, prepared=prepared,
+            verifier_caches=verifier_caches, tracer=tracer,
         )
 
     stats = JoinStats(method="PRT", tau=tau, tree_count=len(trees))
@@ -574,8 +577,8 @@ def partsj_join(
         prepared.collection if prepared is not None
         else SizeSortedCollection(trees)
     )
-    if verifier is None:
-        verifier = Verifier(trees, tau, backend=cfg.backend)
+    verifier = Verifier(trees, tau, caches=verifier_caches,
+                        backend=cfg.backend)
     driver = ShardDriver(trees, tau, cfg, prepared=prepared)
     pairs: list[JoinPair] = []
 

@@ -11,8 +11,9 @@ results bit-identical to the serial engine:
 - :mod:`~repro.parallel.verify_pool` — chunked parallel verification
   usable by every join method, not just PartSJ, plus the background
   ``StreamVerifyPool`` the streaming engine hands its candidates to;
-- :mod:`~repro.parallel.worker` — per-process state (lazily parsed
-  collection, persistent ``Verifier``; for streaming, an append-only
+- :mod:`~repro.parallel.worker` — per-process state (the parent's trees,
+  prepared session state and verifier caches, handed over by the pool
+  initializer; a persistent ``Verifier``; for streaming, an append-only
   ``GrowingTreeStore``) and the task functions.
 
 The streaming hooks: :class:`~repro.parallel.sharding.ShardPlanner`

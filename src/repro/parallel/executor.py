@@ -50,9 +50,10 @@ from repro.baselines.common import (
     JoinResult,
     JoinStats,
     SizeSortedCollection,
+    VerifierCaches,
     check_join_inputs,
 )
-from repro.core.join import PartSJConfig, partsj_join
+from repro.core.join import PartSJConfig, PreparedJoinState, partsj_join
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharding import ShardResult, plan_shards
 from repro.parallel.verify_pool import parallel_verify
@@ -69,10 +70,10 @@ __all__ = ["merge_counters", "open_pool", "parallel_partsj_join",
            "pool_context"]
 
 # Explicit start method rather than the platform default: "fork" where
-# the platform offers it (cheap startup; our initargs — bracket strings
-# and frozen config dataclasses — are equally spawn-safe, so the choice
-# is a performance one, not a correctness one), "spawn" otherwise
-# (macOS defaults and Windows have no safe fork).
+# the platform offers it (the initargs are inherited, not pickled),
+# "spawn" otherwise (macOS defaults and Windows have no safe fork; the
+# same initargs are pickled, deep trees included, so the choice is a
+# performance one, not a correctness one).
 _START_METHOD = (
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 )
@@ -101,17 +102,20 @@ def merge_counters(shard_results: Sequence[ShardResult]) -> dict:
 
 
 def _create_pool(
-    brackets: Sequence[str],
+    trees: Sequence[Tree],
     tau: int,
     workers: int,
     config: Optional[PartSJConfig],
+    prepared: Optional[PreparedJoinState],
+    verifier_caches: Optional[VerifierCaches],
     verifier_options: Optional[dict],
     injector: Optional[FaultInjector],
 ):
     return pool_context().Pool(
         processes=workers,
         initializer=init_worker,
-        initargs=(brackets, tau, config, verifier_options, injector),
+        initargs=(trees, tau, config, prepared, verifier_caches,
+                  verifier_options, injector),
     )
 
 
@@ -126,14 +130,15 @@ def open_pool(
 ):
     """A worker pool whose processes hold the collection (see worker.py).
 
-    The collection crosses the process boundary once, as bracket strings,
-    via the pool initializer; subsequent task payloads are index lists
-    only.  Closes and joins the pool on exit; on error it is terminated
-    and the join is **bounded** (:func:`repro.resilience.shutdown_pool`),
-    so a wedged worker cannot hang cleanup forever.
+    The trees reach the workers once, as themselves, via the pool
+    initializer — inherited under ``fork``, pickled once per worker under
+    ``spawn``; subsequent task payloads are index lists only.  Closes and
+    joins the pool on exit; on error it is terminated and the join is
+    **bounded** (:func:`repro.resilience.shutdown_pool`), so a wedged
+    worker cannot hang cleanup forever.
     """
-    brackets = [tree.to_bracket() for tree in trees]
-    pool = _create_pool(brackets, tau, workers, config, verifier_options, injector)
+    pool = _create_pool(trees, tau, workers, config, None, None,
+                        verifier_options, injector)
     try:
         yield pool
     except BaseException:
@@ -165,15 +170,18 @@ def parallel_partsj_join(
     tau: int,
     config: Optional[PartSJConfig] = None,
     *,
-    prepared=None,
+    prepared: Optional[PreparedJoinState] = None,
+    verifier_caches: Optional[VerifierCaches] = None,
     tracer=None,
 ) -> JoinResult:
     """PartSJ over ``config.workers`` processes; serial-identical results.
 
-    ``prepared`` (a :class:`repro.core.join.PreparedJoinState`) lets a
-    session reuse its size-sorted view for shard planning and keeps the
-    serial fallbacks warm; the per-shard caches and partitions stay
-    process-local — they cannot cross the pool boundary.
+    ``prepared`` (a :class:`repro.core.join.PreparedJoinState`) and
+    ``verifier_caches`` (a :class:`repro.baselines.common.VerifierCaches`)
+    are a session's warm state: shards are planned off the prepared
+    sorted view, and both objects reach every worker (and the in-process
+    degradation fallbacks), which then run as warm as the serial session
+    join.  Results are identical with or without them.
 
     ``tracer`` (a :class:`repro.obs.Tracer`; ``None`` disables) records a
     ``parallel.candidates`` span over the shard stage with each shard's
@@ -189,7 +197,7 @@ def parallel_partsj_join(
     serial_cfg = replace(cfg, workers=1)
     if workers <= 1 or len(trees) < 2:
         return partsj_join(trees, tau, serial_cfg, prepared=prepared,
-                           tracer=tracer)
+                           verifier_caches=verifier_caches, tracer=tracer)
 
     plan_start = time.perf_counter()
     collection = (
@@ -200,7 +208,7 @@ def parallel_partsj_join(
     plan_time = time.perf_counter() - plan_start
     if len(plans) <= 1:
         return partsj_join(trees, tau, serial_cfg, prepared=prepared,
-                           tracer=tracer)
+                           verifier_caches=verifier_caches, tracer=tracer)
     tracer.record("parallel.plan", plan_time, shards=len(plans))
 
     policy = (cfg.retry or RetryPolicy()).validated()
@@ -208,7 +216,6 @@ def parallel_partsj_join(
         cfg.fault_injector if cfg.fault_injector is not None
         else FaultInjector.from_env()
     )
-    brackets = [tree.to_bracket() for tree in trees]
     stats = JoinStats(method="PRT", tau=tau, tree_count=len(trees))
     # Worker verifiers (and the in-process degradation fallbacks) run the
     # same resolved kernel backend as the shard drivers, so a parallel
@@ -216,7 +223,8 @@ def parallel_partsj_join(
     verifier_options = {"backend": cfg.backend}
     supervisor = PoolSupervisor(
         lambda: _create_pool(
-            brackets, tau, workers, serial_cfg, verifier_options, injector
+            trees, tau, workers, serial_cfg, prepared, verifier_caches,
+            verifier_options, injector,
         ),
         policy,
     )
@@ -228,8 +236,10 @@ def parallel_partsj_join(
                 run_shard_task,
                 [(f"shard:{plan.shard_id}", plan) for plan in plans],
                 # Degradation fallback: the same pure shard computation, in
-                # this process over the real trees (no fault injection).
-                lambda plan: execute_shard(trees, tau, serial_cfg, plan),
+                # this process over the same trees and prepared state (no
+                # fault injection).
+                lambda plan: execute_shard(trees, tau, serial_cfg, plan,
+                                           prepared=prepared),
             )
             candidate_pairs = _merge_candidates(shard_results)
             stage_span.set("candidates", len(candidate_pairs))
@@ -239,7 +249,7 @@ def parallel_partsj_join(
         candidate_wall = time.perf_counter() - stage_start
         pairs, verify_stats = parallel_verify(
             trees, tau, candidate_pairs, workers, options=verifier_options,
-            supervisor=supervisor, tracer=tracer,
+            supervisor=supervisor, tracer=tracer, caches=verifier_caches,
         )
 
     counters = merge_counters(shard_results)

@@ -10,9 +10,12 @@ screen already applied, whether the traversal bound is redundant) travels
 as the ``options`` dict, which is passed verbatim to each worker's
 ``Verifier``.
 
-Pairs are sorted into canonical order and cut into
-``workers * CHUNKS_PER_WORKER`` chunks; results and counters merge
-deterministically because per-pair outcomes are independent of batching.
+Pairs are ordered by ``(max(|Ti|, |Tj|), i, j)`` and cut into
+``workers * CHUNKS_PER_WORKER`` chunks: near-duplicates have near-equal
+sizes, so a chunk touches one size band and each worker annotates fewer
+trees than chunks of the (shuffled) ``(i, j)`` order would make it.
+Results merge back in canonical ``(i, j)`` order, and counters merge
+deterministically, because per-pair outcomes are independent of batching.
 The returned ``verify_time`` is the **sum of worker CPU seconds** (the
 comparable quantity to a serial run's ``verify_time``);
 ``verify_wall_time`` in the stats dict is the elapsed stage time.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from repro.baselines.common import JoinPair, Verifier
+from repro.baselines.common import JoinPair, Verifier, VerifierCaches
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
 from repro.parallel import worker as _worker
@@ -140,13 +143,15 @@ def parallel_verify(
     pool=None,
     supervisor: Optional[PoolSupervisor] = None,
     tracer=None,
+    caches: Optional[VerifierCaches] = None,
 ) -> tuple[list[JoinPair], dict]:
     """Verify candidate ``(i, j)`` pairs across worker processes.
 
     Parameters
     ----------
     trees:
-        The full collection (workers receive it once, as bracket strings).
+        The full collection (workers receive it once, via the pool
+        initializer).
     tau:
         The join threshold.
     pairs:
@@ -169,6 +174,9 @@ def parallel_verify(
         nor ``supervisor`` is given and ``workers > 1``, a dedicated
         supervised pool is created and torn down — so every join
         method's verification stage retries and degrades the same way.
+    caches:
+        A session's :class:`VerifierCaches`, used by the in-process
+        verifier and handed to a dedicated pool's workers.
 
     Returns the accepted :class:`JoinPair` list in canonical order plus a
     stats dict (``ted_calls`` / ``verify_time`` / ``lb_filtered`` /
@@ -188,10 +196,10 @@ def parallel_verify(
         return [], dict(_ZERO_STATS)
 
     if workers <= 1 and pool is None and supervisor is None:
-        # Serial fallback: same engine, in-process, no bracket round-trip.
+        # Serial fallback: same engine, in-process.
         with tracer.span("verify.parallel", workers=1,
                          pairs=len(ordered)):
-            verifier = Verifier(trees, tau, **(options or {}))
+            verifier = Verifier(trees, tau, caches=caches, **(options or {}))
             accepted = []
             for i, j in ordered:
                 distance = verifier.verify(i, j)
@@ -202,7 +210,10 @@ def parallel_verify(
                               **verifier.extra_stats()})
         return _merge_chunk_results([outcome], 1, time.perf_counter() - started)
 
-    chunks = chunk_pairs(ordered, workers)
+    by_size = sorted(
+        ordered, key=lambda p: (max(trees[p[0]].size, trees[p[1]].size), p)
+    )
+    chunks = chunk_pairs(by_size, workers)
     if pool is not None:
         with tracer.span("verify.parallel", workers=workers,
                          pairs=len(ordered), chunks=len(chunks)):
@@ -212,13 +223,14 @@ def parallel_verify(
             outcomes, len(chunks), time.perf_counter() - started
         )
 
+    # Degradation fallback: one in-process Verifier over the session's
+    # caches, reused by every failed chunk; per-pair outcomes and counter
+    # deltas match the worker's exactly (only wall time differs), so
+    # merged totals stay serial-identical.
+    fallback = Verifier(trees, tau, caches=caches, **(options or {}))
+
     def inline_chunk(chunk):
-        # Degradation fallback: a fresh in-process Verifier; per-pair
-        # outcomes and counter deltas match the worker's exactly (only
-        # wall time differs), so merged totals stay serial-identical.
-        return _worker.verify_pairs(
-            Verifier(trees, tau, **(options or {})), chunk
-        )
+        return _worker.verify_pairs(fallback, chunk)
 
     tasks = [(f"verify:{k}", chunk) for k, chunk in enumerate(chunks)]
     if supervisor is not None:
@@ -234,10 +246,10 @@ def parallel_verify(
         return pairs_out, stats
     from repro.parallel.executor import _create_pool
 
-    brackets = [tree.to_bracket() for tree in trees]
     injector = FaultInjector.from_env()
     owned = PoolSupervisor(
-        lambda: _create_pool(brackets, tau, workers, None, options, injector),
+        lambda: _create_pool(trees, tau, workers, None, None, caches,
+                             options, injector),
     )
     with owned:
         with tracer.span("verify.parallel", workers=workers,
@@ -261,8 +273,8 @@ def parallel_verify(
 class StreamVerifyPool:
     """Background verification pool for streamed candidates.
 
-    The batch pools above assume a complete collection shipped at pool
-    start; a streaming join has no such collection, so this pool ships
+    The batch pools above assume a complete collection handed over at
+    pool start; a streaming join has no such collection, so this pool ships
     with each submission the bracket strings of exactly the trees its
     pairs reference.  Workers keep them in a per-process append-only
     store (:class:`repro.parallel.worker.GrowingTreeStore`) with one

@@ -1,13 +1,14 @@
 """Per-process state and task functions for the parallel join workers.
 
 Worker processes receive the collection **once**, through the pool
-initializer, as bracket-notation strings (compact, picklable, and
-identical under fork and spawn start methods); trees are re-parsed lazily
-— a candidate-generation worker only ever materializes its shard plus
-handoff band, a verification worker only the trees named by its pair
-chunks.  Task payloads then stay small: a :class:`~.sharding.ShardPlan`
-going in, a :class:`~.sharding.ShardResult` (or verified chunk) coming
-back.
+initializer, as the parent's own objects: the trees, the session's
+:class:`~repro.core.join.PreparedJoinState` and its
+:class:`~repro.baselines.common.VerifierCaches` — shared pages under
+``fork``, pickled once under ``spawn``.  A worker thus starts as warm as
+its parent: it never re-parses a tree, and reuses every tree cache,
+partition and annotation the session has already built.  Task payloads
+stay small: a :class:`~.sharding.ShardPlan` going in, a
+:class:`~.sharding.ShardResult` (or verified chunk) coming back.
 
 The verification engine (:class:`repro.baselines.common.Verifier`) is
 created once per process on first use and kept for the rest of the pool's
@@ -23,8 +24,8 @@ import time
 from collections.abc import Sequence
 from typing import Optional
 
-from repro.baselines.common import Verifier
-from repro.core.join import PartSJConfig, ShardDriver
+from repro.baselines.common import Verifier, VerifierCaches
+from repro.core.join import PartSJConfig, PreparedJoinState, ShardDriver
 from repro.errors import InvalidInputTypeError, WorkerStateError
 from repro.obs.trace import span_dict
 from repro.parallel.sharding import ShardPlan, ShardResult
@@ -33,7 +34,6 @@ from repro.tree.bracket import parse_bracket
 from repro.tree.node import Tree
 
 __all__ = [
-    "LazyTreeList",
     "execute_shard",
     "init_worker",
     "init_stream_worker",
@@ -58,48 +58,24 @@ def _span_id(prefix: str) -> str:
     return f"{prefix}-{os.getpid():x}-{next(_SPAN_SEQ)}"
 
 
-class LazyTreeList(Sequence):
-    """A tree collection parsed on demand from bracket strings.
-
-    Quacks enough like ``Sequence[Tree]`` for :class:`ShardDriver` and
-    :class:`Verifier`, which only ever index by integer; a worker thus
-    pays parsing cost only for the trees its tasks actually touch.
-    """
-
-    __slots__ = ("_brackets", "_trees")
-
-    def __init__(self, brackets: Sequence[str]):
-        self._brackets = brackets
-        self._trees: list[Optional[Tree]] = [None] * len(brackets)
-
-    def __len__(self) -> int:
-        return len(self._brackets)
-
-    def __getitem__(self, index: int) -> Tree:
-        if not isinstance(index, int):
-            raise InvalidInputTypeError(
-                "LazyTreeList supports integer indexing only"
-            )
-        tree = self._trees[index]
-        if tree is None:
-            tree = self._trees[index] = parse_bracket(self._brackets[index])
-        return tree
-
-
 class _WorkerState:
     """Everything a worker process holds between tasks."""
 
     def __init__(
         self,
-        brackets: Sequence[str],
+        trees: Sequence[Tree],
         tau: int,
         config: Optional[PartSJConfig],
+        prepared: Optional[PreparedJoinState],
+        verifier_caches: Optional[VerifierCaches],
         verifier_options: Optional[dict],
         injector: Optional[FaultInjector] = None,
     ):
-        self.trees = LazyTreeList(brackets)
+        self.trees = trees
         self.tau = tau
         self.config = config
+        self.prepared = prepared
+        self.verifier_caches = verifier_caches
         self.verifier_options = verifier_options or {}
         self.injector = injector
         self._verifier: Optional[Verifier] = None
@@ -107,7 +83,10 @@ class _WorkerState:
     @property
     def verifier(self) -> Verifier:
         if self._verifier is None:
-            self._verifier = Verifier(self.trees, self.tau, **self.verifier_options)
+            self._verifier = Verifier(
+                self.trees, self.tau, caches=self.verifier_caches,
+                **self.verifier_options,
+            )
         return self._verifier
 
 
@@ -115,15 +94,20 @@ _STATE: Optional[_WorkerState] = None
 
 
 def init_worker(
-    brackets: Sequence[str],
+    trees: Sequence[Tree],
     tau: int,
     config: Optional[PartSJConfig] = None,
+    prepared: Optional[PreparedJoinState] = None,
+    verifier_caches: Optional[VerifierCaches] = None,
     verifier_options: Optional[dict] = None,
     injector: Optional[FaultInjector] = None,
 ) -> None:
     """Pool initializer: install the collection in this worker process."""
     global _STATE
-    _STATE = _WorkerState(brackets, tau, config, verifier_options, injector)
+    _STATE = _WorkerState(
+        trees, tau, config, prepared, verifier_caches, verifier_options,
+        injector,
+    )
 
 
 def _require_state() -> _WorkerState:
@@ -136,10 +120,11 @@ def _require_state() -> _WorkerState:
 
 
 def execute_shard(
-    trees: Sequence,
+    trees: Sequence[Tree],
     tau: int,
     config: Optional[PartSJConfig],
     plan: ShardPlan,
+    prepared: Optional[PreparedJoinState] = None,
 ) -> ShardResult:
     """Candidate generation for one shard, against any tree sequence.
 
@@ -147,12 +132,13 @@ def execute_shard(
     the sorted order, so one linear pass over ``band`` then ``owned``
     reproduces the serial loop's state for every owned probe (the
     handoff-band invariant of :mod:`repro.core.join`).  The driver's
-    output is a pure function of ``(trees, tau, config, plan)``, so the
-    same shard re-executed anywhere — a retried worker, or the parent
-    process during graceful degradation — yields the identical result.
+    output is a pure function of ``(trees, tau, config, plan, prepared)``,
+    so the same shard re-executed anywhere — a retried worker, or the
+    parent process during graceful degradation — yields the identical
+    result.  ``prepared`` is consumed as by the serial session join.
     """
     started = time.perf_counter()
-    driver = ShardDriver(trees, tau, config)
+    driver = ShardDriver(trees, tau, config, prepared=prepared)
     for i in plan.band:
         driver.insert_only(i)
     candidates: list[tuple[int, int]] = []
@@ -201,7 +187,9 @@ def execute_shard(
 def run_shard(plan: ShardPlan) -> ShardResult:
     """:func:`execute_shard` over this worker's installed collection."""
     state = _require_state()
-    return execute_shard(state.trees, state.tau, state.config, plan)
+    return execute_shard(
+        state.trees, state.tau, state.config, plan, prepared=state.prepared
+    )
 
 
 def run_shard_task(task: tuple) -> tuple:
@@ -304,10 +292,9 @@ def verify_chunk_task(task: tuple) -> tuple:
 class GrowingTreeStore(Sequence):
     """An append-only, lazily parsed tree store indexed by arrival position.
 
-    The streaming counterpart of :class:`LazyTreeList`: brackets arrive
-    incrementally (with each task) instead of all at once, and indices
-    may be sparse from any single worker's point of view — a worker only
-    ever holds the trees its own chunks referenced.
+    Brackets arrive incrementally (with each task), and indices may be
+    sparse from any single worker's point of view — a worker only ever
+    holds the trees its own chunks referenced.
     """
 
     __slots__ = ("_brackets", "_trees")

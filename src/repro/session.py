@@ -58,7 +58,6 @@ from repro.baselines.common import (
     JoinPair,
     JoinResult,
     SizeSortedCollection,
-    Verifier,
     VerifierCaches,
 )
 from repro.baselines.histogram_join import histogram_join
@@ -827,14 +826,12 @@ class JoinPlan(QueryPlan):
         col = self.collection
         cfg = self.config
         if cfg.workers > 1:
-            # Worker processes rebuild their shard-local caches and
-            # partitions (prepared state cannot cross the pool boundary);
-            # the executor consumes the prepared sorted order for shard
-            # planning, and its serial fallbacks (tiny collections,
-            # single-shard plans) run warm off the same state.  Reuse the
-            # full per-tau partitions when this session already has them;
-            # otherwise hand over a bare state rather than paying a
-            # partitioning pass the workers would ignore.
+            # The workers inherit this state and the verifier caches
+            # through the pool initializer and run as warm as the serial
+            # path below.  Reuse the full per-tau partitions when this
+            # session already has them; otherwise hand over a bare state
+            # (each shard partitions its own trees) rather than paying a
+            # whole-collection partitioning pass up front.
             if col.is_prepared(self.tau, cfg):
                 state = col.prepare(self.tau, cfg).join_state()
             else:
@@ -844,13 +841,12 @@ class JoinPlan(QueryPlan):
                     caches=col._caches,
                 )
             return partsj_join(col.trees, self.tau, cfg, prepared=state,
+                               verifier_caches=col.verifier_caches,
                                tracer=tracer)
         prep, fresh = col._prepare_entry(self.tau, cfg)
-        verifier = Verifier(col.trees, self.tau, caches=col.verifier_caches,
-                            backend=cfg.backend)
         result = partsj_join(
-            col.trees, self.tau, cfg,
-            prepared=prep.join_state(), verifier=verifier, tracer=tracer,
+            col.trees, self.tau, cfg, prepared=prep.join_state(),
+            verifier_caches=col.verifier_caches, tracer=tracer,
         )
         # Keep the paper's two-phase accounting intact: a cold run did
         # the partitioning inside prepare(), so its cost is folded back

@@ -194,6 +194,14 @@ class Tree:
 
         return to_bracket(self)
 
+    def __reduce__(self):
+        # Pickle as the bracket string: both directions are iterative, so
+        # a deep chain pickles where node-by-node recursion would overflow
+        # (spawn-started workers receive their trees this way).
+        from repro.tree.bracket import parse_bracket
+
+        return parse_bracket, (self.to_bracket(),)
+
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -263,8 +263,8 @@ class TestGenericCounterMerge:
 
         real = worker_mod.execute_shard
 
-        def instrumented(trees, tau, config, plan):
-            result = real(trees, tau, config, plan)
+        def instrumented(trees, tau, config, plan, prepared=None):
+            result = real(trees, tau, config, plan, prepared=prepared)
             result.counters["obs_test_marker"] = 1
             return result
 
