@@ -11,7 +11,6 @@ from repro.baselines.common import (
     JoinResult,
     JoinStats,
     SizeSortedCollection,
-    TreeFeatures,
     Verifier,
 )
 from repro.baselines.histogram_join import histogram_join
@@ -24,7 +23,6 @@ __all__ = [
     "JoinResult",
     "JoinStats",
     "SizeSortedCollection",
-    "TreeFeatures",
     "Verifier",
     "nested_loop_join",
     "str_join",

@@ -29,10 +29,17 @@ cheap-to-expensive pipeline:
    computation as soon as no cell can recover (counter
    ``ted_early_exits`` when the ``> tau`` sentinel comes back).
 
-The per-tree feature vectors (:class:`TreeFeatures`) and Zhang–Shasha
-annotations (both orientations, built lazily — small trees skip the mirror
-entirely) are cached, so a tree joined against many candidates is
-traversed a constant number of times regardless of its candidate count.
+Every pair reads the same per-tree record: the tree's
+:class:`~repro.core.treecache.TreeCache`, the flat arrays PartSJ's probe
+already builds.  Its bags, pre/postorder label sequences and Zhang–Shasha
+annotations (both orientations; small pairs never touch the mirror) are
+derived from those arrays on first use and kept with it, so a tree joined
+against many candidates is processed once, whatever its candidate count.
+Labels are interned ids, compared as ints.  A session's joins, its
+workers and its searches share one record per tree
+(:class:`VerifierCaches`); a one-shot baseline keeps private records
+over a private interner.
+
 The counters surface in ``JoinStats.extra`` for every join method via
 :meth:`Verifier.extra_stats`, giving the figure scripts a verification
 breakdown.  Results are bit-identical to unconditional exact verification
@@ -44,13 +51,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.errors import InvalidParameterError
 from repro.params import check_tau
-from repro.ted.binary_branch import binary_branches
 from repro.ted.bounds import (
     branch_bound_from_bags,
     degree_bound_from_bags,
@@ -58,16 +63,19 @@ from repro.ted.bounds import (
     trivial_upper_bound_from_parts,
 )
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.rted import MIRROR_SIZE_CUTOFF, choose_orientation, mirror_tree
+from repro.ted.rted import MIRROR_SIZE_CUTOFF, choose_orientation
 from repro.ted.string_edit import string_edit_within
 from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
 from repro.tree.node import Tree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.intern import LabelInterner
+    from repro.core.treecache import TreeCache
 
 __all__ = [
     "JoinPair",
     "JoinStats",
     "JoinResult",
-    "TreeFeatures",
     "Verifier",
     "VerifierCaches",
     "DeferredVerification",
@@ -163,111 +171,36 @@ def check_join_inputs(trees: Sequence[Tree], tau: int) -> None:
             )
 
 
-class TreeFeatures:
-    """Per-tree vectors behind the verifier's O(distinct-keys) filters.
-
-    Everything :func:`repro.ted.bounds.composite_lower_bound` and the
-    traversal-string bound need, each computed at most once per tree: the
-    label bag, the degree histogram, the binary-branch bag, and the
-    pre/postorder label tuples.  A candidate pair is then screened with
-    multiset L1 distances and (optionally) two banded string DPs — no
-    tree walk.
-
-    Every part is built lazily on first access, so a consumer pays only
-    for what it reads: the SET join's candidate screen touches just
-    ``branch_bag``, the histogram join just the label/degree bags, and a
-    verifier with ``traversal_bound=False`` never materializes the
-    traversal tuples.  Joins share the verifier's per-tree cache instead
-    of rebuilding bags.
-    """
-
-    __slots__ = (
-        "tree",
-        "size",
-        "root_label",
-        "_label_bag",
-        "_degree_bag",
-        "_branch_bag",
-        "_preorder",
-        "_postorder",
-    )
-
-    def __init__(self, tree: Tree):
-        self.tree = tree
-        self.size = tree.size
-        self.root_label = tree.root.label
-        self._label_bag: Optional[Counter] = None
-        self._degree_bag: Optional[Counter] = None
-        self._branch_bag: Optional[Counter] = None
-        self._preorder: Optional[tuple] = None
-        self._postorder: Optional[tuple] = None
-
-    def _scan_bags(self) -> None:
-        label_bag: Counter = Counter()
-        degree_bag: Counter = Counter()
-        for node in self.tree.iter_preorder():
-            label_bag[node.label] += 1
-            degree_bag[node.degree] += 1
-        self._label_bag = label_bag
-        self._degree_bag = degree_bag
-
-    @property
-    def label_bag(self) -> Counter:
-        if self._label_bag is None:
-            self._scan_bags()
-        return self._label_bag
-
-    @property
-    def degree_bag(self) -> Counter:
-        if self._degree_bag is None:
-            self._scan_bags()
-        return self._degree_bag
-
-    @property
-    def branch_bag(self) -> Counter:
-        if self._branch_bag is None:
-            self._branch_bag = binary_branches(self.tree)
-        return self._branch_bag
-
-    @property
-    def preorder(self) -> tuple:
-        if self._preorder is None:
-            self._preorder = tuple(self.tree.preorder_labels())
-        return self._preorder
-
-    @property
-    def postorder(self) -> tuple:
-        if self._postorder is None:
-            self._postorder = tuple(self.tree.postorder_labels())
-        return self._postorder
-
-    def trivial_upper_bound(self, other: "TreeFeatures") -> int:
-        """Delete everything below one root, rename it, insert the other."""
-        return trivial_upper_bound_from_parts(
-            self.size, other.size, self.root_label == other.root_label
-        )
-
-
 class VerifierCaches:
-    """Tau-independent per-tree verification caches, shareable across runs.
+    """The per-tree records verifiers read, shareable across runs.
 
-    Everything a :class:`Verifier` memoizes per tree — Zhang–Shasha
-    annotations (both orientations) and :class:`TreeFeatures` — depends
-    only on the tree, never on the threshold.  A prepared session
-    (:class:`repro.session.TreeCollection`) therefore keeps one instance
-    per collection and hands it to every query's verifier: a tree
-    annotated for the first ``tau=1`` join is not re-annotated by a later
-    ``tau=3`` join or search over the same collection.  Keys are original
-    tree indices, so the caches are only valid for verifiers over the
-    same tree sequence.
+    ``records`` maps an original tree index to its
+    :class:`~repro.core.treecache.TreeCache`; ``interner`` is the label
+    table every record was built with, so their label ids compare
+    directly.  A record depends only on the tree, never on the threshold,
+    so a prepared session (:class:`repro.session.TreeCollection`) passes
+    its own tree-cache store and interner: the caches PartSJ's probe
+    built are the records verification reads, and a tree whose views a
+    ``tau=1`` join derived keeps them for a later ``tau=3`` join or
+    search.  Without arguments the records and the interner are private.
+    Keys are original tree indices, so the caches are only valid for
+    verifiers over the same tree sequence.
     """
 
-    __slots__ = ("annotated", "mirrored", "features")
+    __slots__ = ("records", "interner")
 
-    def __init__(self) -> None:
-        self.annotated: dict[int, AnnotatedTree] = {}
-        self.mirrored: dict[int, AnnotatedTree] = {}
-        self.features: dict[int, TreeFeatures] = {}
+    def __init__(
+        self,
+        records: "Optional[dict[int, TreeCache]]" = None,
+        interner: "Optional[LabelInterner]" = None,
+    ) -> None:
+        if interner is None:
+            # Local import: repro.core builds on this module.
+            from repro.core.intern import LabelInterner
+
+            interner = LabelInterner()
+        self.records: "dict[int, TreeCache]" = {} if records is None else records
+        self.interner = interner
 
 
 class Verifier:
@@ -287,8 +220,8 @@ class Verifier:
     traversal_bound:
         Include the banded pre/postorder string-edit lower bound in the
         filter chain.  The STR join disables it because its candidates
-        already passed exactly that filter (the per-tree traversal tuples
-        are then not even materialized).
+        already passed exactly that filter (the records' traversal
+        sequences are then not even derived).
     bag_bounds:
         Which bag lower bounds to include in the filter chain: ``True``
         (all of labels / degrees / branches), ``False`` (none), or an
@@ -304,10 +237,9 @@ class Verifier:
         is still exact, the reported distance may overestimate.
     caches:
         A :class:`VerifierCaches` to read and populate instead of private
-        per-verifier dicts.  Sessions share one per collection so the
-        per-tree annotation/feature work amortizes across queries at
-        different thresholds; the accepted pairs and distances are
-        unaffected.
+        records.  Sessions pass their own (records are their tree caches)
+        so the per-tree work amortizes across queries at different
+        thresholds; the accepted pairs and distances are unaffected.
     backend:
         Kernel backend for the tau-banded DP: ``"python"`` (the
         reference :func:`~repro.ted.cutoff.zhang_shasha_bounded`),
@@ -351,110 +283,99 @@ class Verifier:
             self._bounded = zhang_shasha_bounded
         if caches is None:
             caches = VerifierCaches()
-        self._annotated = caches.annotated
-        self._mirrored = caches.mirrored
-        self._features = caches.features
+        self._records = caches.records
+        self._interner = caches.interner
+        # Local import: repro.core builds on this module.
+        from repro.core.treecache import TreeCache
+
+        self._new_record = TreeCache
         self.stats_ted_calls = 0
         self.stats_time = 0.0
         self.stats_lb_filtered = 0
         self.stats_ub_accepted = 0
         self.stats_ted_early_exits = 0
 
-    def _annotation(self, index: int) -> AnnotatedTree:
-        cached = self._annotated.get(index)
-        if cached is None:
-            cached = AnnotatedTree(self._trees[index])
-            self._annotated[index] = cached
-        return cached
-
-    def _mirror_annotation(self, index: int) -> AnnotatedTree:
-        cached = self._mirrored.get(index)
-        if cached is None:
-            cached = AnnotatedTree(mirror_tree(self._trees[index]))
-            self._mirrored[index] = cached
-        return cached
-
-    def features(self, index: int) -> TreeFeatures:
-        """The cached :class:`TreeFeatures` of tree ``index``."""
-        cached = self._features.get(index)
-        if cached is None:
-            cached = TreeFeatures(self._trees[index])
-            self._features[index] = cached
-        return cached
-
-    def _oriented(self, i: int, j: int) -> tuple[AnnotatedTree, AnnotatedTree]:
-        """The cheaper decomposition orientation, as :mod:`repro.ted.rted`.
-
-        Delegates to :func:`repro.ted.rted.choose_orientation` with the
-        per-tree annotation caches: mirrors are built lazily and, below
-        ``MIRROR_SIZE_CUTOFF``, not at all.
-        """
-        return choose_orientation(
-            self._annotation(i),
-            self._annotation(j),
-            lambda: (self._mirror_annotation(i), self._mirror_annotation(j)),
-            MIRROR_SIZE_CUTOFF,
-        )
+    def features(self, index: int) -> "TreeCache":
+        """Tree ``index``'s record: its :class:`~repro.core.treecache.TreeCache`
+        (``size``, ``label_bag``, ``degree_bag``, ``branch_bag``,
+        ``preorder``, ``postorder`` and both annotations), built on first
+        use and kept in the caches."""
+        record = self._records.get(index)
+        if record is None:
+            record = self._new_record(self._trees[index], self._interner)
+            self._records[index] = record
+        return record
 
     def distance(self, i: int, j: int) -> int:
         """Exact TED between trees ``i`` and ``j`` (orientation-adaptive)."""
+        return self._distance(self.features(i), self.features(j))
+
+    def _distance(self, r1: "TreeCache", r2: "TreeCache") -> int:
         start = time.perf_counter()
-        x1, x2 = self._oriented(i, j)
+        x1, x2 = _oriented(r1, r2)
         value = zhang_shasha(x1, x2)
         self.stats_ted_calls += 1
         self.stats_time += time.perf_counter() - start
         return value
 
     def verify(self, i: int, j: int) -> Optional[int]:
-        """Exact distance if ``<= tau`` else ``None``.
+        """Exact distance between trees ``i`` and ``j`` if ``<= tau``, else
+        ``None`` — :meth:`verify_records` over their records."""
+        return self.verify_records(self.features(i), self.features(j))
+
+    def verify_records(self, r1: "TreeCache", r2: "TreeCache") -> Optional[int]:
+        """Exact distance if ``<= tau`` else ``None``, for two records
+        built with this verifier's interner.
 
         This is the hot path of every join: the bound pipeline described
-        in the module docstring, then the tau-banded DP.
+        in the module docstring, then the tau-banded DP.  A searcher
+        passes its query's record here directly, so the query never
+        enters the shared caches.
         """
         tau = self._tau
         if not self._threshold_aware:
-            value = self.distance(i, j)
+            value = self._distance(r1, r2)
             return value if value <= tau else None
         start = time.perf_counter()
         try:
-            f1 = self.features(i)
-            f2 = self.features(j)
-            upper = f1.trivial_upper_bound(f2)
+            n1, n2 = r1.size, r2.size
+            # The root is the last node in binary postorder.
+            upper = trivial_upper_bound_from_parts(
+                n1, n2, r1.labels[n1] == r2.labels[n2]
+            )
             if upper <= tau:
                 # The pair cannot miss; skip the whole filter chain.
                 self.stats_ub_accepted += 1
                 if not self._exact_distances:
                     return upper
-                value = self._bounded(
-                    self._annotation(i), self._annotation(j), upper
-                )
+                value = self._bounded(r1.annotation, r2.annotation, upper)
                 self.stats_ted_calls += 1
                 return value  # TED <= upper, so the band cannot cut it off
             # The composite lower bound of repro.ted.bounds, evaluated
-            # stepwise from the cached bags (cheapest first, stopping at
+            # stepwise from the records' bags (cheapest first, stopping at
             # the first bound > tau); checks whose L1 the join's own
             # candidate screen already applied are excluded via bag_bounds.
-            if abs(f1.size - f2.size) > tau:
+            if abs(n1 - n2) > tau:
                 self.stats_lb_filtered += 1
                 return None
             bags = self._bag_bounds
             if (
                 ("labels" in bags
-                 and label_bound_from_bags(f1.label_bag, f2.label_bag) > tau)
+                 and label_bound_from_bags(r1.label_bag, r2.label_bag) > tau)
                 or ("degrees" in bags
-                    and degree_bound_from_bags(f1.degree_bag, f2.degree_bag) > tau)
+                    and degree_bound_from_bags(r1.degree_bag, r2.degree_bag) > tau)
                 or ("branches" in bags
-                    and branch_bound_from_bags(f1.branch_bag, f2.branch_bag) > tau)
+                    and branch_bound_from_bags(r1.branch_bag, r2.branch_bag) > tau)
             ):
                 self.stats_lb_filtered += 1
                 return None
             if self._traversal_bound and (
-                string_edit_within(f1.preorder, f2.preorder, tau) is None
-                or string_edit_within(f1.postorder, f2.postorder, tau) is None
+                string_edit_within(r1.preorder, r2.preorder, tau) is None
+                or string_edit_within(r1.postorder, r2.postorder, tau) is None
             ):
                 self.stats_lb_filtered += 1
                 return None
-            x1, x2 = self._oriented(i, j)
+            x1, x2 = _oriented(r1, r2)
             self.stats_ted_calls += 1
             value = self._bounded(x1, x2, tau)
             if value is None:
@@ -470,6 +391,23 @@ class Verifier:
             "ub_accepted": self.stats_ub_accepted,
             "ted_early_exits": self.stats_ted_early_exits,
         }
+
+
+def _oriented(
+    r1: "TreeCache", r2: "TreeCache"
+) -> tuple[AnnotatedTree, AnnotatedTree]:
+    """The cheaper decomposition orientation, as :mod:`repro.ted.rted`.
+
+    Delegates to :func:`repro.ted.rted.choose_orientation` with the two
+    records' annotations: mirror annotations are derived on demand and,
+    below ``MIRROR_SIZE_CUTOFF``, not at all.
+    """
+    return choose_orientation(
+        r1.annotation,
+        r2.annotation,
+        lambda: (r1.mirror_annotation, r2.mirror_annotation),
+        MIRROR_SIZE_CUTOFF,
+    )
 
 
 class DeferredVerification:

@@ -1,5 +1,5 @@
-"""Per-tree flat-array precomputation shared by the PartSJ probe and insert
-phases.
+"""The per-tree record: one tree as flat integer arrays, plus every view
+the join and the verifier derive from them.
 
 For every tree the join touches, :class:`TreeCache` materializes once the
 LC-RS binary representation — *as parallel integer arrays, not as a node
@@ -9,7 +9,8 @@ Algorithm 1 line 6); slot ``0`` of every array is unused so that ``0``
 can mean "no child / no parent".  The arrays are:
 
 - ``labels[b]`` — the interned label id (:mod:`repro.core.intern`) of the
-  node, shared collection-wide so ids are comparable across trees;
+  node, shared collection-wide so ids are comparable across trees
+  (``labels[0]`` is ``0``, the id of the missing-child label ``EPSILON``);
 - ``left[b]`` / ``right[b]`` — binary postorder numbers of the LC-RS
   left (leftmost-child) and right (next-sibling) children, or ``0``;
 - ``parent[b]`` — binary postorder number of the binary parent, ``0`` at
@@ -20,11 +21,29 @@ can mean "no child / no parent".  The arrays are:
 
 The probe loop, partition extraction and subgraph matching all walk these
 arrays with plain integer indices — no attribute loads, no ``id()``-keyed
-dictionaries, no per-node objects.  A :class:`~repro.tree.binary.BinaryNode`
-object layer is still available through :attr:`binary` /
-:attr:`binary_postorder` / :meth:`binary_number` for tests, ablation
-paths and debugging, but it is built lazily on first access and the hot
-paths never touch it.
+dictionaries, no per-node objects.
+
+The same record is what verification reads
+(:class:`repro.baselines.common.Verifier`).  Its views are derived from
+the arrays on first access, never by walking node objects, and kept:
+
+- :attr:`label_bag`, :attr:`degree_bag` and :attr:`branch_bag` — the bags
+  behind the label, degree and binary-branch lower bounds, keyed on
+  label ids (a binary branch is the packed twig of a node and its two
+  binary children, :func:`~repro.core.intern.pack_twig`);
+- :attr:`preorder` / :attr:`postorder` — the label-id sequences of the
+  traversal-string bound;
+- :attr:`annotation` / :attr:`mirror_annotation` — the Zhang–Shasha
+  :class:`~repro.ted.zhang_shasha.AnnotatedTree` of the tree and of its
+  mirror image.  In the mirror, a node's postorder number is
+  ``size + 1 - preorder(v)`` and its leftmost leaf is the original's
+  rightmost leaf, so no mirrored tree is ever built.
+
+Building a record does none of this work; a tree that is never verified
+never pays for it.  A :class:`~repro.tree.binary.BinaryNode` object layer
+is still available through :attr:`binary` / :attr:`binary_postorder` /
+:meth:`binary_number` for tests, ablation paths and debugging, but it is
+built lazily on first access and the hot paths never touch it.
 
 Why general-tree postorder?  The postorder-pruning layer (paper Section
 3.4) relies on "a node edit operation shifts a surviving node's postorder
@@ -40,9 +59,17 @@ the conservative window (``postorder_filter="safe"``) provably correct; see
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import islice
 from typing import Optional
 
-from repro.core.intern import DEFAULT_INTERNER, LabelInterner
+from repro.core.intern import (
+    DEFAULT_INTERNER,
+    TWIG_LABEL_SHIFT,
+    TWIG_LEFT_SHIFT,
+    LabelInterner,
+)
+from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.binary import BinaryNode, BinaryTree
 from repro.tree.node import Tree, TreeNode
 
@@ -87,6 +114,13 @@ class TreeCache:
         "_binary",
         "_number_of",
         "_arrays",
+        "_label_bag",
+        "_degree_bag",
+        "_branch_bag",
+        "_preorder",
+        "_postorder",
+        "_annotation",
+        "_mirror",
     )
 
     def __init__(self, tree: Tree, interner: Optional[LabelInterner] = None):
@@ -184,6 +218,13 @@ class TreeCache:
         self._binary: Optional[BinaryTree] = None
         self._number_of: Optional[dict[int, int]] = None
         self._arrays = None
+        self._label_bag: Optional[Counter] = None
+        self._degree_bag: Optional[Counter] = None
+        self._branch_bag: Optional[Counter] = None
+        self._preorder: Optional[list[int]] = None
+        self._postorder: Optional[list[int]] = None
+        self._annotation: Optional[AnnotatedTree] = None
+        self._mirror: Optional[AnnotatedTree] = None
 
     # -- fast array accessors ------------------------------------------------
 
@@ -219,6 +260,165 @@ class TreeCache:
         node = self._general_at[number]
         assert node is not None
         return node
+
+    # -- verification views (derived lazily from the arrays) ----------------
+
+    @property
+    def label_bag(self) -> Counter:
+        """Bag of the nodes' label ids."""
+        bag = self._label_bag
+        if bag is None:
+            bag = self._label_bag = Counter(islice(self.labels, 1, None))
+        return bag
+
+    @property
+    def degree_bag(self) -> Counter:
+        """Bag of the general nodes' child counts.
+
+        A node's children are its LC-RS left child and that child's chain
+        of right siblings, so the degree is the length of the chain.
+        """
+        bag = self._degree_bag
+        if bag is None:
+            right = self.right
+            chain = [0] * (self.size + 1)  # b plus its later siblings
+            for b in range(1, self.size + 1):
+                chain[b] = chain[right[b]] + 1
+            bag = Counter(map(chain.__getitem__, islice(self.left, 1, None)))
+            self._degree_bag = bag
+        return bag
+
+    @property
+    def branch_bag(self) -> Counter:
+        """Bag of binary branches (Yang et al.) as packed twig keys.
+
+        A missing child reads ``labels[0]``, the ``EPSILON`` id ``0``.
+        """
+        bag = self._branch_bag
+        if bag is None:
+            labels = self.labels
+            bag = Counter([
+                (x << TWIG_LABEL_SHIFT) | (labels[l] << TWIG_LEFT_SHIFT)
+                | labels[r]
+                for x, l, r in zip(
+                    islice(labels, 1, None),
+                    islice(self.left, 1, None),
+                    islice(self.right, 1, None),
+                )
+            ])
+            self._branch_bag = bag
+        return bag
+
+    @property
+    def preorder(self) -> list[int]:
+        """Label ids in general-tree preorder (LC-RS preorder is the same)."""
+        sequence = self._preorder
+        if sequence is None:
+            sequence = [0] * self.size
+            pre = self._preorder_numbers(self._binary_sizes())
+            for x, p in zip(islice(self.labels, 1, None), islice(pre, 1, None)):
+                sequence[p - 1] = x
+            self._preorder = sequence
+        return sequence
+
+    @property
+    def postorder(self) -> list[int]:
+        """Label ids in general-tree postorder."""
+        sequence = self._postorder
+        if sequence is None:
+            sequence = [0] * self.size
+            for x, g in zip(islice(self.labels, 1, None),
+                            islice(self.general_post, 1, None)):
+                sequence[g - 1] = x
+            self._postorder = sequence
+        return sequence
+
+    @property
+    def annotation(self) -> AnnotatedTree:
+        """Zhang–Shasha annotation over general postorder, with label ids
+        as labels.
+
+        A node's general subtree is itself plus the binary subtree of its
+        left child, so its leftmost leaf is ``post - size(left)``.  The
+        keyroots are the root and every node with a left sibling: the
+        nodes that are not the left child of their binary parent.
+        """
+        annotation = self._annotation
+        if annotation is None:
+            n = self.size
+            left, parent = self.left, self.parent
+            sizes = self._binary_sizes()
+            lmld = [0] * (n + 1)
+            keyroots = []
+            for b, g in enumerate(self.general_post):
+                if b:
+                    lmld[g] = g - sizes[left[b]]
+                    if left[parent[b]] != b:
+                        keyroots.append(g)
+            keyroots.sort()
+            annotation = AnnotatedTree.from_arrays(
+                [0, *self.postorder], lmld, keyroots
+            )
+            self._annotation = annotation
+        return annotation
+
+    @property
+    def mirror_annotation(self) -> AnnotatedTree:
+        """The annotation of the mirror image (every child list reversed).
+
+        Mirror postorder is reversed preorder: node ``v`` gets number
+        ``size + 1 - preorder(v)``, its mirror subtree has the same node
+        count, and the mirror's keyroots are the root and every node with
+        a right sibling.
+        """
+        annotation = self._mirror
+        if annotation is None:
+            n = self.size
+            left, right = self.left, self.right
+            sizes = self._binary_sizes()
+            top = n + 1
+            lmld = [0] * top
+            keyroots = []
+            for b, p in enumerate(self._preorder_numbers(sizes)):
+                if b:
+                    m = top - p
+                    lmld[m] = m - sizes[left[b]]
+                    if right[b] or b == n:
+                        keyroots.append(m)
+            keyroots.sort()
+            annotation = AnnotatedTree.from_arrays(
+                [0, *reversed(self.preorder)], lmld, keyroots
+            )
+            self._mirror = annotation
+        return annotation
+
+    def _binary_sizes(self) -> list[int]:
+        """``sizes[b]``: node count of the binary subtree rooted at ``b``
+        (``sizes[0] == 0``); children precede parents in postorder."""
+        left, right = self.left, self.right
+        sizes = [0] * (self.size + 1)
+        for b in range(1, self.size + 1):
+            sizes[b] = sizes[left[b]] + sizes[right[b]] + 1
+        return sizes
+
+    def _preorder_numbers(self, sizes: list[int]) -> list[int]:
+        """``pre[b]``: 1-based preorder number of node ``b`` (``pre[0]``
+        unused).  Binary preorder visits ``b``, then its left subtree,
+        then its right subtree; walking postorder numbers downward meets
+        every parent before its children."""
+        left, right = self.left, self.right
+        n = self.size
+        pre = [0] * (n + 1)
+        pre[n] = 1
+        for b in range(n, 0, -1):
+            p = pre[b] + 1
+            child = left[b]
+            if child:
+                pre[child] = p
+            child = right[b]
+            if child:
+                pre[child] = p + sizes[left[b]]
+        return pre
 
     # -- node-object compatibility layer (built lazily, never on hot paths) --
 

@@ -6,13 +6,14 @@ initializer, as the parent's own objects: the trees, the session's
 :class:`~repro.baselines.common.VerifierCaches` — shared pages under
 ``fork``, pickled once under ``spawn``.  A worker thus starts as warm as
 its parent: it never re-parses a tree, and reuses every tree cache,
-partition and annotation the session has already built.  Task payloads
+partition and verification view the session has already built (the
+verifier's per-tree records are the session's tree caches).  Task payloads
 stay small: a :class:`~.sharding.ShardPlan` going in, a
 :class:`~.sharding.ShardResult` (or verified chunk) coming back.
 
 The verification engine (:class:`repro.baselines.common.Verifier`) is
 created once per process on first use and kept for the rest of the pool's
-life, so its per-tree annotation and feature caches amortize across
+life, so the views it derives on its per-tree records amortize across
 chunks exactly as they do across candidates in a serial run.
 """
 

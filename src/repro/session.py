@@ -7,10 +7,10 @@ artifact that outlives a single call:
 
 - the size-sorted order (:class:`~repro.baselines.common.SizeSortedCollection`),
 - the collection-wide :class:`~repro.core.intern.LabelInterner` and the
-  per-tree :class:`~repro.core.treecache.TreeCache` flat arrays,
-- the tau-independent verification caches
-  (:class:`~repro.baselines.common.VerifierCaches`: Zhang–Shasha
-  annotations, feature bags),
+  per-tree :class:`~repro.core.treecache.TreeCache` records — the flat
+  arrays the probe reads, plus the bags, traversal sequences and
+  Zhang–Shasha annotations verification derives from them on first use
+  (handed to verifiers as :class:`~repro.baselines.common.VerifierCaches`),
 - and, lazily per ``(tau, filter config)``, the partitions and two-layer
   index (:class:`_PreparedTau`) that both the join and the searcher
   consume.
@@ -324,7 +324,7 @@ class TreeCollection:
         self._caches: dict[int, TreeCache] = {}
         self._prepared: dict[tuple, _PreparedTau] = {}
         self._results: dict = {}
-        self._verifier_caches = VerifierCaches()
+        self._verifier_caches: Optional[VerifierCaches] = None
         self._merged: dict[int, tuple] = {}  # id(other) -> (other, merged)
         self._provenance: Optional[dict] = None  # set by snapshot loads
 
@@ -433,7 +433,6 @@ class TreeCollection:
         if deep:
             self._prepared.clear()
             self._caches.clear()
-            self._verifier_caches = VerifierCaches()
 
     # -- shared state --------------------------------------------------------
 
@@ -482,7 +481,10 @@ class TreeCollection:
 
     @property
     def verifier_caches(self) -> VerifierCaches:
-        """Tau-independent verification caches shared by every query."""
+        """The tree caches and interner as verifiers read them: one record
+        per tree, shared by every query, worker and searcher."""
+        if self._verifier_caches is None:
+            self._verifier_caches = VerifierCaches(self._caches, self.interner)
         return self._verifier_caches
 
     # -- preparation ---------------------------------------------------------
@@ -558,7 +560,9 @@ class TreeCollection:
             "tree_caches": len(self._caches),
             "prepared": [prep.describe() for prep in self._prepared.values()],
             "cached_results": len(self._results),
-            "verifier_annotations": len(self._verifier_caches.annotated),
+            "verifier_annotations": sum(
+                cache._annotation is not None for cache in self._caches.values()
+            ),
             "merged_sessions": len(self._merged),
         }
         if self._provenance is not None:

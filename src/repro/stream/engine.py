@@ -34,10 +34,14 @@ One arrival runs three steps:
    exhaustively by :meth:`flush`.
 
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
-so reverse anchors can be structurally matched at any time; together with
-the node-twig registrations this is the warm-index state that
-:meth:`searcher` exposes for mid-ingest ``similarity_search`` queries
-(no rebuild — the searcher is a live view).  Memory therefore grows with
+so reverse anchors can be structurally matched at any time.  The same
+caches are the verifier's per-tree records (small arrivals, which are
+never partitioned, get theirs on first verification), so each tree's
+bags, traversal sequences and annotations are derived once, whichever
+arrival or search first needs them.  Together with the node-twig
+registrations this is the warm-index state that :meth:`searcher`
+exposes for mid-ingest ``similarity_search`` queries (no rebuild — the
+searcher is a live view).  Memory therefore grows with
 the ingested prefix; the spill-to-disk inverted size index is the
 ROADMAP follow-up.
 """
@@ -49,7 +53,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from repro.baselines.common import JoinPair, SizeSortedCollection, Verifier
+from repro.baselines.common import (
+    JoinPair,
+    SizeSortedCollection,
+    Verifier,
+    VerifierCaches,
+)
 from repro.core.index import PostorderFilter, postorder_half_width
 from repro.core.join import PartSJConfig, ShardDriver
 from repro.core.subgraph import MatchSemantics
@@ -192,9 +201,16 @@ class StreamingJoin:
         # Serial driver config: the driver is the in-process probe/insert
         # engine either way; workers only parallelize verification.
         self._driver = ShardDriver(self.trees, tau, replace(cfg, workers=1))
-        self._verifier = Verifier(self.trees, tau, backend=cfg.backend)
         self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
+        # One record per ingested tree: the probe-side cache of every
+        # partitioned arrival, and the verifier's own for small ones.
         self._caches: dict[int, TreeCache] = {}
+        self._verifier_caches = VerifierCaches(
+            self._caches, self._driver.interner
+        )
+        self._verifier = Verifier(
+            self.trees, tau, caches=self._verifier_caches, backend=cfg.backend
+        )
         self._planner = ShardPlanner(self.collection, tau)
         self._pairs: list[JoinPair] = []
         self._pool = None

@@ -4,8 +4,8 @@
 fixed collection; :class:`StreamSearcher` *is* that searcher with the
 build step removed — it binds the streaming engine's live structures
 (two-layer index, interner, small pool, reverse node-twig index, sorted
-order) and therefore always answers over exactly the ingested prefix,
-with no rebuild and no copy.  Ingesting more trees between two queries
+order, per-tree verification records) and therefore always answers
+over exactly the ingested prefix, with no rebuild and no copy.  Ingesting more trees between two queries
 is the whole point: the index is warm, queries are cheap, and the
 search-as-a-service scenario of the ROADMAP is one
 :class:`repro.stream.service.StreamJoinService` away.
@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
+from repro.baselines.common import Verifier
 from repro.core.index import PostorderFilter, postorder_half_width
 from repro.core.partition import extract_partition, max_min_size_cached
 from repro.core.subgraph import MatchSemantics
@@ -55,6 +56,12 @@ class StreamSearcher(SimilaritySearcher):
         self._index = join._driver.index
         self._interner = join._driver.interner
         self._min_size = join._min_size
+        # The engine's records: collection trees keep their derived
+        # verification views from one search (and arrival) to the next.
+        self._verifier = Verifier(
+            join.trees, join.tau, caches=join._verifier_caches,
+            backend=join.config.backend,
+        )
 
     def _size_window(self, size: int) -> list[int]:
         collection = self._join.collection

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree
 
 __all__ = [
@@ -44,18 +43,25 @@ def binary_branches(tree: Tree) -> BranchBag:
 
     Each element is the preordered label triple
     ``(label, left_child_label, right_child_label)`` over the LC-RS
-    representation, with ``EPSILON`` for missing children.
+    representation, with ``EPSILON`` for missing children.  The branches
+    are read off the tree's flat LC-RS arrays
+    (:attr:`repro.core.treecache.TreeCache.branch_bag`, over a private
+    interner) and mapped back to label strings.
 
     >>> bag = binary_branches(Tree.from_bracket("{a{b}{c}}"))
     >>> sorted(bag.elements())[0]
     ('a', 'b', '')
     """
-    binary = to_lcrs(tree)
+    # Local imports: repro.core builds on the TED layer.
+    from repro.core.intern import LabelInterner, unpack_twig
+    from repro.core.treecache import TreeCache
+
+    interner = LabelInterner()
+    label = interner.label
     bag: BranchBag = Counter()
-    for node in binary.iter_postorder():
-        left = node.left.label if node.left is not None else EPSILON
-        right = node.right.label if node.right is not None else EPSILON
-        bag[(node.label, left, right)] += 1
+    for key, count in TreeCache(tree, interner).branch_bag.items():
+        x, left, right = unpack_twig(key)
+        bag[(label(x), label(left), label(right))] = count
     return bag
 
 

@@ -80,10 +80,6 @@ __all__ = ["zhang_shasha_bounded", "keyroot_windows"]
 RenameCost = Callable[[str, str], int]
 
 
-def _unit_rename(a: str, b: str) -> int:
-    return 0 if a == b else 1
-
-
 def keyroot_windows(
     a1: AnnotatedTree, a2: AnnotatedTree, tau: int
 ) -> Iterator[tuple[int, list[int]]]:
@@ -119,8 +115,10 @@ def zhang_shasha_bounded(
     """Exact TED if it is ``<= tau``, else ``None`` (the ``> tau`` sentinel).
 
     Accepts plain trees or pre-computed :class:`AnnotatedTree` wrappers like
-    :func:`repro.ted.zhang_shasha.zhang_shasha`; the verifier passes cached
-    annotations so each tree is annotated once per join.
+    :func:`repro.ted.zhang_shasha.zhang_shasha`; the verifier passes the
+    annotations its per-tree records keep, whose labels are interned ids.
+    With the default unit costs labels are compared inline; a custom
+    ``rename_cost`` is called once per rename cell.
 
     >>> zhang_shasha_bounded(Tree.from_bracket("{a}"), Tree.from_bracket("{a}"), 0)
     0
@@ -132,7 +130,6 @@ def zhang_shasha_bounded(
     n1, n2 = a1.size, a2.size
     if abs(n1 - n2) > tau:
         return None
-    rename = rename_cost or _unit_rename
     # No distance exceeds n1 + n2, so a larger tau changes no answer; the
     # clamp keeps band storage within O(n1 * (n1 + n2)) for any tau.
     tau = min(tau, n1 + n2)
@@ -200,7 +197,10 @@ def zhang_shasha_bounded(
                     if whole1 and l2y == lj:
                         # Both prefixes are whole subtrees: rename case,
                         # and the cell is a tree distance to record.
-                        alt = above[c] + rename(label1, lab2[node2])
+                        if rename_cost is None:
+                            alt = above[c] + (label1 != lab2[node2])
+                        else:
+                            alt = above[c] + rename_cost(label1, lab2[node2])
                         if alt < best:
                             best = alt
                         if best > tau:

@@ -73,6 +73,22 @@ class AnnotatedTree:
         self.keyroots = keyroots
         self._keyroot_weight: Optional[int] = None
 
+    @classmethod
+    def from_arrays(
+        cls, labels: list, lmld: list[int], keyroots: list[int]
+    ) -> "AnnotatedTree":
+        """An annotation from precomputed postorder arrays (1-based, slot 0
+        unused; ``keyroots`` ascending), without walking a tree.  The
+        per-tree records of :mod:`repro.core.treecache` derive theirs
+        from flat arrays, with interned label ids as labels."""
+        annotation = cls.__new__(cls)
+        annotation.size = len(labels) - 1
+        annotation.labels = labels
+        annotation.lmld = lmld
+        annotation.keyroots = keyroots
+        annotation._keyroot_weight = None
+        return annotation
+
     def keyroot_weight(self) -> int:
         """Sum of keyroot subtree sizes: |subtree(k)| = k - lmld[k] + 1.
 

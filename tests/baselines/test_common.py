@@ -1,5 +1,7 @@
 """Tests for shared join plumbing (repro.baselines.common)."""
 
+import time
+
 import pytest
 
 from repro.baselines.common import (
@@ -12,7 +14,7 @@ from repro.baselines.common import (
 )
 from repro.errors import InvalidParameterError
 from repro.ted.zhang_shasha import zhang_shasha
-from repro.tree.node import Tree
+from repro.tree.node import Tree, TreeNode
 from tests.conftest import make_random_tree
 
 
@@ -148,9 +150,27 @@ class TestVerifier:
         trees = [make_random_tree(rng, 8) for _ in range(3)]
         verifier = Verifier(trees, tau=2)
         verifier.verify(0, 1)
-        first = verifier._annotation(0)
+        record = verifier.features(0)
+        first = record.annotation
         verifier.verify(0, 2)
-        assert verifier._annotation(0) is first
+        assert verifier.features(0) is record
+        assert record.annotation is first
+
+    def test_10k_node_chains_at_tau_1(self):
+        # Records, bounds (the traversal strings differ in their last
+        # symbol) and the banded DP all stay O(n * tau).
+        def chain(last):
+            root = node = TreeNode("a")
+            for depth in range(1, 10_000):
+                node = node.add_child(
+                    TreeNode(last if depth == 9_999 else "a")
+                )
+            return Tree(root)
+
+        trees = [chain("b"), chain("c")]
+        start = time.perf_counter()
+        assert Verifier(trees, tau=1).verify(0, 1) == 1
+        assert time.perf_counter() - start < 2.0
 
 
 class TestResultTypes:

@@ -1,6 +1,7 @@
 """Tests for plain and banded string edit distance (repro.ted.string_edit)."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -83,3 +84,28 @@ class TestBanded:
             full = string_edit_distance(a, b)
             expected = full if full <= tau else None
             assert string_edit_within(a, b, tau) == expected
+
+
+class TestResourceBounds:
+    """Time per call grows with ``n * tau``, not ``n1 * n2``: the rows are
+    band-sized, so 100,000-symbol sequences cost what 100,000 rows of
+    ``2*tau + 3`` cells cost."""
+
+    WALL_SECONDS = 2.0
+
+    @pytest.mark.parametrize("tau,expected", [(1, None), (2, 2)])
+    def test_100k_symbols(self, tau, expected):
+        # No common prefix or suffix, and the band never saturates (the
+        # shifted alignment costs one edit per end), so every row runs.
+        a = ["a", "b"] * 50_000
+        b = ["b", "a"] * 50_000
+        start = time.perf_counter()
+        assert string_edit_within(a, b, tau) == expected
+        assert time.perf_counter() - start < self.WALL_SECONDS
+
+    def test_common_prefix_and_suffix_are_cut(self):
+        a = ["x"] * 1000 + ["a", "b", "c"] + ["y"] * 1000
+        b = ["x"] * 1000 + ["b", "c", "a"] + ["y"] * 1000
+        assert string_edit_within(a, b, 2) == 2
+        assert string_edit_within(a, b, 1) is None
+        assert string_edit_within(a, a, 0) == 0

@@ -245,12 +245,25 @@ class TestSessionReuse:
     def test_multi_tau_shares_tau_independent_state(self, forest):
         col = TreeCollection.from_trees(forest)
         col.join(1).run()
-        caches_after_first = len(col._caches)
-        annotations_after_first = len(col.verifier_caches.annotated)
+        records = col.verifier_caches.records
+        # The verifier reads the session's tree caches, not copies.
+        assert records is col._caches
+        first = dict(records)
+        derived = {
+            i: (record._label_bag, record._annotation)
+            for i, record in first.items()
+            if record._label_bag is not None
+        }
+        assert derived  # the tau=1 join verified through these records
         col.join(2).run()
-        # tau=2 re-partitions but reuses every tree cache built for tau=1.
-        assert len(col._caches) == caches_after_first
-        assert len(col.verifier_caches.annotated) >= annotations_after_first
+        # tau=2 re-partitions but reuses every record built for tau=1,
+        # with the views the tau=1 join derived.
+        for i, record in first.items():
+            assert records[i] is record
+        for i, (label_bag, annotation) in derived.items():
+            assert records[i]._label_bag is label_bag
+            if annotation is not None:
+                assert records[i]._annotation is annotation
         assert col.prepared_taus() == [1, 2]
 
     def test_prepare_is_idempotent_and_keyed_by_config(self, forest):
@@ -471,14 +484,42 @@ class TestReviewRegressions:
 
     def test_search_leaves_shared_caches_query_free(self, forest):
         col = TreeCollection.from_trees(forest)
-        col.search(forest[0], 1).run()
-        query_index = len(forest)
-        shared = col.verifier_caches
-        assert query_index not in shared.annotated
-        assert query_index not in shared.mirrored
-        assert query_index not in shared.features
+        query = forest[0].copy()
+        hits = col.search(query, 1).run()
+        assert hits
+        records = col.verifier_caches.records
+        # Only collection trees have records, each under its own index;
+        # the query's record (the probe's cache) stayed private.
+        assert set(records) <= set(range(len(forest)))
+        assert all(record.tree is col.trees[i] for i, record in records.items())
+        assert all(record.tree is not query for record in records.values())
         # Collection-tree work done during the search was written back.
-        assert len(shared.annotated) > 0 or len(shared.features) > 0
+        assert col.stats()["verifier_annotations"] > 0
+
+    def test_stream_searcher_reuses_collection_views(self, forest):
+        engine = StreamingJoin(tau=1)
+        try:
+            engine.add_many(forest)
+            searcher = engine.searcher()
+            query = forest[0].copy()
+            first = searcher.search(query)
+            assert first
+            records = engine._verifier_caches.records
+            derived = {
+                i: (record, record._label_bag)
+                for i, record in records.items()
+                if record._label_bag is not None
+            }
+            assert {hit.index for hit in first} <= set(derived)
+            assert searcher.search(query.copy()) == first
+            # The second search re-derived nothing: same records, same bags.
+            for i, (record, label_bag) in derived.items():
+                assert records[i] is record
+                assert record._label_bag is label_bag
+            assert all(record.tree is not query for record in records.values())
+            assert len(records) <= len(engine.trees)
+        finally:
+            engine.close()
 
     def test_workers_config_composition_reports_itself(self, forest):
         col = TreeCollection.from_trees(forest)
